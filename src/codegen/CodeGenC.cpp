@@ -196,32 +196,39 @@ public:
   CodeGen(const LoweredPipeline &P, const std::string &FnName)
       : P(P), FnName(FnName) {}
 
-  std::string run() {
+  CSourceParts run() {
     emitMain();
-    std::ostringstream Out;
-    Out << "/* Generated by the halide-pldi13-repro compiler. Do not edit. "
-           "*/\n"
-        << "#include <stdint.h>\n#include <math.h>\n#include <string.h>\n\n"
-        << "typedef struct hl_vtable {\n"
-        << "  void *(*Malloc)(int64_t);\n  void (*Free)(void *);\n"
-        << "  void (*ParFor)(int32_t, int32_t, void (*)(int32_t, void *), "
-           "void *);\n"
-        << "  void (*GpuLaunch)(int32_t, void (*)(int32_t, void *), void "
-           "*);\n"
-        << "  void (*Abort)(const char *);\n"
-        << "  void (*ProfEnter)(int32_t);\n  void (*ProfExit)(int32_t);\n"
-        << "  void (*TraceLoad)(int32_t, int32_t, int32_t, const int32_t *, "
-           "const uint64_t *);\n"
-        << "  void (*TraceStore)(int32_t, int32_t, int32_t, const int32_t *, "
-           "const uint64_t *);\n"
-        << "  void (*TraceBegin)(int32_t, int32_t, const int32_t *);\n"
-        << "  void (*TraceEnd)(int32_t);\n"
-        << "} hl_vtable;\n\n"
-        << TypedefText.str() << "\n"
-        << HelperText.str() << "\n"
-        << FunctionText.str() << "\n"
-        << MainText.str();
-    return Out.str();
+    std::ostringstream Header;
+    Header << "/* Generated by the halide-pldi13-repro compiler. Do not edit. "
+              "*/\n"
+           << "#include <stdint.h>\n#include <math.h>\n#include <string.h>\n\n"
+           << "typedef struct hl_vtable {\n"
+           << "  void *(*Malloc)(int64_t);\n  void (*Free)(void *);\n"
+           << "  void (*ParFor)(int32_t, int32_t, void (*)(int32_t, void *), "
+              "void *);\n"
+           << "  void (*GpuLaunch)(int32_t, void (*)(int32_t, void *), void "
+              "*);\n"
+           << "  void (*Abort)(const char *);\n"
+           << "  void (*ProfEnter)(int32_t);\n  void (*ProfExit)(int32_t);\n"
+           << "  void (*TraceLoad)(int32_t, int32_t, int32_t, const int32_t *, "
+              "const uint64_t *);\n"
+           << "  void (*TraceStore)(int32_t, int32_t, int32_t, const int32_t *, "
+              "const uint64_t *);\n"
+           << "  void (*TraceBegin)(int32_t, int32_t, const int32_t *);\n"
+           << "  void (*TraceEnd)(int32_t);\n"
+           << "} hl_vtable;\n\n"
+           << TypedefText.str() << "\n"
+           << HelperText.str() << "\n";
+    // Bodies are hidden rather than static: a body may launch a nested
+    // body that is compiled in another translation unit.
+    if (!Bodies.empty())
+      Header << "#pragma GCC visibility push(hidden)\n" << ClosureText.str()
+             << "#pragma GCC visibility pop\n\n";
+    CSourceParts Parts;
+    Parts.Header = Header.str();
+    Parts.Entry = MainText.str();
+    Parts.Bodies = std::move(Bodies);
+    return Parts;
   }
 
 private:
@@ -1415,12 +1422,13 @@ private:
     Body = SavedBody;
     Indent = SavedIndent;
 
-    FunctionText << StructDef.str();
-    FunctionText << "static void " << FnNameC
-                 << "(int32_t __i, void *__p) {\n  " << StructName
-                 << " *__c = (" << StructName
-                 << " *)__p;\n  const hl_vtable *rt = __c->rt;\n  (void)rt;\n"
-                 << FnBody.str() << "}\n\n";
+    ClosureText << StructDef.str() << "void " << FnNameC
+                << "(int32_t, void *);\n";
+    Bodies.push_back("void " + FnNameC + "(int32_t __i, void *__p) {\n  " +
+                     StructName + " *__c = (" + StructName +
+                     " *)__p;\n  const hl_vtable *rt = __c->rt;\n  "
+                     "(void)rt;\n" +
+                     FnBody.str() + "}\n\n");
 
     // Launch site.
     std::string Obj = "__cl_" + std::to_string(Id);
@@ -1541,7 +1549,9 @@ private:
   const LoweredPipeline &P;
   std::string FnName;
 
-  std::ostringstream TypedefText, HelperText, FunctionText, MainText;
+  // ClosureText holds each body's closure typedef and prototype.
+  std::ostringstream TypedefText, HelperText, ClosureText, MainText;
+  std::vector<std::string> Bodies; // one closure body function each
   std::ostringstream *Body = nullptr;
   int Indent = 0;
   int NameCounter = 0;
@@ -1556,8 +1566,20 @@ private:
 
 } // namespace
 
-std::string halide::codegenC(const LoweredPipeline &P,
-                             const std::string &FnName) {
+std::string halide::CSourceParts::joined() const {
+  std::string Out = Header;
+  for (const std::string &Body : Bodies)
+    Out += Body;
+  return Out + Entry;
+}
+
+CSourceParts halide::codegenCParts(const LoweredPipeline &P,
+                                   const std::string &FnName) {
   CodeGen CG(P, FnName);
   return CG.run();
+}
+
+std::string halide::codegenC(const LoweredPipeline &P,
+                             const std::string &FnName) {
+  return codegenCParts(P, FnName).joined();
 }

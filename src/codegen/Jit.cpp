@@ -2,14 +2,25 @@
 
 #include "codegen/Jit.h"
 #include "codegen/CodeGenC.h"
+#include "observe/TraceRecorder.h"
 #include "runtime/Buffer.h"
 #include "runtime/GpuSim.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <dlfcn.h>
 #include <fstream>
+#include <functional>
+#include <spawn.h>
+#include <sstream>
+#include <sys/wait.h>
+#include <system_error>
+#include <thread>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace halide;
 
@@ -56,13 +67,14 @@ int CompiledPipeline::run(const ParamBindings &Params,
   FloatArgs.push_back(0);
 
   // On the GpuSim target, report the run's launch statistics as the delta
-  // of the process-wide device counters (runs are serialized per device).
+  // of the process-wide device counters. Nothing serializes runs on the
+  // device, so the delta also counts launches of concurrent frames.
   GpuStats Before;
   if (T.TargetBackend == Backend::GpuSim && Stats)
     Before = gpuSim().stats();
   int Rc = Fn(runtimeVTable(), Bufs.data(), IntArgs.data(), FloatArgs.data());
   if (T.TargetBackend == Backend::GpuSim && Stats) {
-    const GpuStats &After = gpuSim().stats();
+    const GpuStats After = gpuSim().stats();
     Stats->GpuKernelLaunches = After.KernelLaunches - Before.KernelLaunches;
     Stats->GpuBlocksExecuted = After.BlocksExecuted - Before.BlocksExecuted;
   }
@@ -71,12 +83,16 @@ int CompiledPipeline::run(const ParamBindings &Params,
 
 namespace {
 
-/// Owns one compile's /tmp/hl_jit_XXXXXX scratch directory. The
-/// destructor removes the known artifacts and the directory on every
-/// exit path — concurrent serving compiles many pipelines, so leaked
-/// scratch dirs would otherwise accumulate per frame shape. keep()
-/// disarms the cleanup when the host compiler fails, preserving the
-/// generated source the error message points at.
+/// Host-compile totals over every jitCompile, exported by jitCounters().
+std::atomic<int64_t> HostCcNs{0};
+std::atomic<int64_t> EmittedCBytes{0};
+
+/// Owns one compile's /tmp/hl_jit_XXXXXX scratch directory. Every file
+/// name handed out by path() is removed by the destructor, then the
+/// directory, on every exit path -- concurrent serving compiles many
+/// pipelines, so leaked scratch dirs would otherwise accumulate per frame
+/// shape. keep() disarms the cleanup when the host compiler fails,
+/// preserving the sources and logs the error message points at.
 class JitTempDir {
 public:
   JitTempDir() {
@@ -87,23 +103,97 @@ public:
   ~JitTempDir() {
     if (Kept)
       return;
-    std::remove(path("pipeline.c").c_str());
-    std::remove(path("cc.log").c_str());
-    std::remove(path("pipeline.so").c_str());
+    for (const std::string &File : Files)
+      std::remove(File.c_str());
     rmdir(Dir.c_str());
   }
   JitTempDir(const JitTempDir &) = delete;
   JitTempDir &operator=(const JitTempDir &) = delete;
 
-  std::string path(const char *Name) const { return Dir + "/" + Name; }
+  std::string path(const std::string &Name) {
+    Files.push_back(Dir + "/" + Name);
+    return Files.back();
+  }
+  const std::string &dir() const { return Dir; }
   void keep() { Kept = true; }
 
 private:
   std::string Dir;
+  std::vector<std::string> Files;
   bool Kept = false;
 };
 
+/// Runs \p Cmd with /bin/sh and returns its exit status, or -1 when it
+/// could not be started or did not exit normally. Unlike std::system it
+/// may run on several threads at once.
+int runShell(const std::string &Cmd) {
+  const char *Argv[] = {"sh", "-c", Cmd.c_str(), nullptr};
+  pid_t Pid;
+  if (posix_spawn(&Pid, "/bin/sh", nullptr, nullptr,
+                  const_cast<char *const *>(Argv), environ) != 0)
+    return -1;
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return -1;
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// Splits the bodies into at most \p Jobs groups of similar byte size:
+/// largest first, each into the lightest group so far.
+std::vector<std::vector<size_t>>
+groupBodies(const std::vector<std::string> &Bodies, size_t Jobs) {
+  std::vector<size_t> Order(Bodies.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Bodies[A].size() > Bodies[B].size();
+  });
+  std::vector<std::vector<size_t>> Groups(std::min(Jobs, Bodies.size()));
+  std::vector<size_t> Bytes(Groups.size(), 0);
+  for (size_t I : Order) {
+    size_t G = size_t(std::min_element(Bytes.begin(), Bytes.end()) -
+                      Bytes.begin());
+    Groups[G].push_back(I);
+    Bytes[G] += Bodies[I].size();
+  }
+  return Groups;
+}
+
+/// One translation unit of a JIT compile.
+struct CUnit {
+  explicit CUnit(std::string Source) : Source(std::move(Source)) {}
+  std::string Source, CPath, LogPath, Cmd;
+  int Rc = 0;
+};
+
+/// Compiles \p U and, while tracing, records it as span "cc unit K".
+void compileUnit(CUnit &U, size_t K) {
+  const int64_t T0 = traceActive() ? traceNowNs() : 0;
+  U.Rc = runShell(U.Cmd);
+  if (T0) {
+    std::vector<TraceArg> Args;
+    Args.emplace_back("bytes", int64_t(U.Source.size()));
+    traceComplete("compile", "cc unit " + std::to_string(K), T0,
+                  traceNowNs() - T0, std::move(Args));
+  }
+}
+
 } // namespace
+
+JitCounters halide::jitCounters() {
+  JitCounters C;
+  C.HostCcMs = HostCcNs.load(std::memory_order_relaxed) / 1000000;
+  C.CBytes = EmittedCBytes.load(std::memory_order_relaxed);
+  return C;
+}
 
 std::shared_ptr<CompiledPipeline> halide::jitCompile(const LoweredPipeline &P,
                                                      const Target &T) {
@@ -111,37 +201,98 @@ std::shared_ptr<CompiledPipeline> halide::jitCompile(const LoweredPipeline &P,
   std::shared_ptr<CompiledPipeline> Result(new CompiledPipeline(P, T));
 
   std::string FnName = "hl_pipeline";
-  Result->Source = codegenC(P, FnName);
+  CSourceParts Parts = codegenCParts(P, FnName);
+  Result->Source = Parts.joined();
+  EmittedCBytes.fetch_add(int64_t(Result->Source.size()),
+                          std::memory_order_relaxed);
+
+  // Unit 0 holds the entry function; with no parallel body it is the
+  // whole pipeline and compiles straight to the shared object. Otherwise
+  // the bodies are split into one unit per core at most, every unit
+  // compiles to an object at the same time, and a link step follows.
+  std::vector<CUnit> Units;
+  if (Parts.Bodies.empty()) {
+    Units.emplace_back(Result->Source);
+  } else {
+    Units.emplace_back(Parts.Header + Parts.Entry);
+    const size_t Cores = std::max(1u, std::thread::hardware_concurrency());
+    for (const std::vector<size_t> &Group : groupBodies(Parts.Bodies, Cores)) {
+      CUnit U(Parts.Header);
+      for (size_t I : Group)
+        U.Source += Parts.Bodies[I];
+      Units.push_back(std::move(U));
+    }
+  }
+  const bool Link = Units.size() > 1;
 
   JitTempDir Temp;
-  std::string CPath = Temp.path("pipeline.c");
-  std::string SoPath = Temp.path("pipeline.so");
-  {
-    std::ofstream Out(CPath);
-    Out << Result->Source;
-  }
-
+  const std::string SoPath = Temp.path("pipeline.so");
   // -ffp-contract=off keeps float results bit-identical across schedules
   // (FMA contraction would otherwise round differently per loop shape),
   // preserving the paper's "all valid schedules generate correct code"
   // property at the bit level.
-  std::string Cmd = "cc -O3 -march=native -fno-math-errno "
-                    "-ffp-contract=off -fPIC -shared " +
-                    T.JitFlags + " -o " + SoPath + " " + CPath +
-                    " -lm 2> " + Temp.path("cc.log");
-  int Rc = std::system(Cmd.c_str());
-  if (Rc != 0) {
-    std::string Log;
+  const std::string Cc = "cc -O3 -march=native -fno-math-errno "
+                         "-ffp-contract=off -fPIC " +
+                         T.JitFlags;
+  std::string Objects;
+  for (size_t K = 0; K < Units.size(); ++K) {
+    CUnit &U = Units[K];
+    const std::string Stem = "unit" + std::to_string(K);
+    U.CPath = Temp.path(Stem + ".c");
+    U.LogPath = Temp.path(Stem + ".log");
     {
-      std::ifstream In(Temp.path("cc.log"));
-      std::string Line;
-      while (std::getline(In, Line))
-        Log += Line + "\n";
+      std::ofstream Out(U.CPath);
+      Out << U.Source;
     }
-    Temp.keep();
-    user_error << "host C compiler failed on generated code:\n"
-               << Log << "\nsource left at " << CPath;
+    if (Link) {
+      const std::string OPath = Temp.path(Stem + ".o");
+      Objects += " " + OPath;
+      U.Cmd = Cc + " -c -o " + OPath + " " + U.CPath + " 2> " + U.LogPath;
+    } else {
+      U.Cmd = Cc + " -shared -o " + SoPath + " " + U.CPath + " -lm 2> " +
+              U.LogPath;
+    }
   }
+
+  const int64_t T0 = traceNowNs();
+  {
+    std::vector<std::thread> Helpers;
+    for (size_t K = 1; K < Units.size(); ++K) {
+      try {
+        Helpers.emplace_back(compileUnit, std::ref(Units[K]), K);
+      } catch (const std::system_error &) {
+        compileUnit(Units[K], K); // no thread to spare: compile it here
+      }
+    }
+    compileUnit(Units[0], 0);
+    for (std::thread &H : Helpers)
+      H.join();
+  }
+  for (size_t K = 0; K < Units.size(); ++K) {
+    const CUnit &U = Units[K];
+    if (U.Rc == 0)
+      continue;
+    Temp.keep();
+    user_error << "host C compiler failed on unit " << K << " of "
+               << Units.size() << " of the generated code:\n"
+               << readFile(U.LogPath) << "\nsource left at " << U.CPath
+               << ", log at " << U.LogPath;
+  }
+  if (Link) {
+    const std::string LogPath = Temp.path("link.log");
+    const int64_t LinkT0 = traceActive() ? traceNowNs() : 0;
+    const int Rc = runShell("cc -shared " + T.JitFlags + " -o " + SoPath +
+                            Objects + " -lm 2> " + LogPath);
+    if (LinkT0)
+      traceComplete("compile", "link", LinkT0, traceNowNs() - LinkT0);
+    if (Rc != 0) {
+      Temp.keep();
+      user_error << "host linker failed on the generated code:\n"
+                 << readFile(LogPath) << "\nobjects left in " << Temp.dir()
+                 << ", log at " << LogPath;
+    }
+  }
+  HostCcNs.fetch_add(traceNowNs() - T0, std::memory_order_relaxed);
 
   void *Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   user_assert(Handle) << "dlopen failed: " << dlerror();

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// JIT execution of lowered pipelines: the C backend's output is compiled
-/// with the host C compiler into a shared object and loaded with dlopen
+/// with the host C compiler (one process per translation unit, in
+/// parallel) into a shared object and loaded with dlopen
 /// (DESIGN.md substitution 1 for the paper's LLVM JIT). The entry point
 /// receives the runtime vtable, so the shared object is self-contained.
 /// CompiledPipeline implements the common Executable interface; a GpuSim
@@ -34,7 +35,8 @@ public:
   int run(const ParamBindings &Params,
           ExecutionStats *Stats = nullptr) const override;
 
-  /// The generated C source (for inspection and tests).
+  /// The generated C source as one translation unit (for inspection and
+  /// tests), whatever units it was compiled in.
   const std::string &source() const override { return Source; }
 
 private:
@@ -53,10 +55,24 @@ private:
 };
 
 /// Emits C for \p P, compiles it with the host compiler (appending
-/// \p T.JitFlags to the command line), and loads it. Aborts (user_error)
-/// if the host compiler fails.
+/// \p T.JitFlags to every command line), and loads it. A pipeline with
+/// parallel or GPU bodies is compiled as several translation units at once
+/// -- the entry function, and the bodies split into at most one unit per
+/// core -- then linked; one without compiles as a single unit. Aborts
+/// (user_error) if the host compiler fails, naming the failing unit's
+/// source and log, which are kept on disk.
 std::shared_ptr<CompiledPipeline> jitCompile(const LoweredPipeline &P,
                                              const Target &T = Target::jit());
+
+/// Process-wide totals over every jitCompile (metricsSnapshot's jit.*).
+struct JitCounters {
+  /// Wall milliseconds from the first host-compiler start to the end of
+  /// the link.
+  int64_t HostCcMs = 0;
+  /// Bytes of emitted C (CompiledPipeline::source()).
+  int64_t CBytes = 0;
+};
+JitCounters jitCounters();
 
 } // namespace halide
 

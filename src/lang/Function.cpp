@@ -17,15 +17,18 @@ namespace {
 /// Live-function registry. Function names are made unique at construction,
 /// so lookups are unambiguous. Guarded by registryMutex(): Funcs are
 /// constructed and destroyed on client threads (serving requests, test
-/// workers) while lowering on another thread resolves Call names.
+/// workers) while lowering on another thread resolves Call names. Both are
+/// intentionally leaked: Functions held by other statics (the compile
+/// cache) deregister during static destruction, whatever order the
+/// statics were first touched in.
 std::mutex &registryMutex() {
-  static std::mutex M;
-  return M;
+  static std::mutex *M = new std::mutex; // never destroyed, by design
+  return *M;
 }
 
 std::map<std::string, FunctionContents *> &registry() {
-  static std::map<std::string, FunctionContents *> Table;
-  return Table;
+  static auto *Table = new std::map<std::string, FunctionContents *>;
+  return *Table;
 }
 
 std::string registerUnique(const std::string &Base, FunctionContents *FC) {

@@ -6,6 +6,7 @@
 
 #include "observe/MetricsRegistry.h"
 
+#include "codegen/Jit.h"
 #include "lang/Pipeline.h"
 #include "observe/TraceStream.h"
 #include "runtime/BufferPool.h"
@@ -56,9 +57,13 @@ MetricsSnapshot metricsSnapshot() {
   Add("pool.bytes_held", BP.BytesHeld);
   Add("pool.bytes_live", BP.BytesLive);
 
-  const GpuStats &GS = gpuSim().stats();
+  const GpuStats GS = gpuSim().stats();
   Add("gpu.kernel_launches", GS.KernelLaunches);
   Add("gpu.blocks_executed", GS.BlocksExecuted);
+
+  JitCounters JC = jitCounters();
+  Add("jit.host_cc_ms", JC.HostCcMs);
+  Add("jit.c_bytes", JC.CBytes);
 
   Add("serve.frames_submitted",
       FramesSubmitted.load(std::memory_order_relaxed));

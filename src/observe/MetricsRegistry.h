@@ -8,8 +8,8 @@
 /// One snapshot call unifying the runtime counters that previously lived
 /// in five ad-hoc places: the compile cache (Pipeline::compileCounters),
 /// the work-stealing TaskScheduler (taskSchedulerStats), the BufferPool
-/// (bufferPoolStats), the simulated GPU (gpuSim().stats()), and the
-/// serving layer's frame counters (maintained here, fed by
+/// (bufferPoolStats), the simulated GPU (gpuSim().stats()), the JIT's
+/// host compiler (jitCounters), and the serving layer's frame counters (maintained here, fed by
 /// Pipeline::realizeAsync). The registry is pull-based: nothing is
 /// registered or pushed at runtime; metricsSnapshot() reads each
 /// subsystem's counters under its own synchronization and returns a
@@ -22,6 +22,7 @@
 ///   pool.hits, pool.fresh_allocations, pool.capacity_evictions,
 ///   pool.bytes_held, pool.bytes_live,
 ///   gpu.kernel_launches, gpu.blocks_executed,
+///   jit.host_cc_ms, jit.c_bytes,
 ///   serve.frames_submitted, serve.frames_completed,
 ///   trace.events_emitted, trace.events_dropped, trace.bytes_written
 ///

@@ -8,8 +8,8 @@ using namespace halide;
 
 void GpuSim::launch(int32_t Blocks, void (*Body)(int32_t, void *),
                     void *Closure) {
-  ++Stats.KernelLaunches;
-  Stats.BlocksExecuted += Blocks;
+  KernelLaunches.fetch_add(1, std::memory_order_relaxed);
+  BlocksExecuted.fetch_add(Blocks, std::memory_order_relaxed);
   const int64_t T0 = traceActive() ? traceNowNs() : 0;
   // Blocks are data parallel; run them on the host task scheduler, which
   // stands in for the SM array. (With one hardware core this degrades

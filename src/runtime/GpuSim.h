@@ -19,6 +19,7 @@
 #ifndef HALIDE_RUNTIME_GPUSIM_H
 #define HALIDE_RUNTIME_GPUSIM_H
 
+#include <atomic>
 #include <cstdint>
 
 namespace halide {
@@ -40,12 +41,24 @@ public:
   int smCount() const { return SMs; }
   void setSmCount(int Count) { SMs = Count < 1 ? 1 : Count; }
 
-  const GpuStats &stats() const { return Stats; }
-  void resetStats() { Stats = GpuStats(); }
+  /// A snapshot of the device counters. Concurrent frames launch on the
+  /// one device, so the counters are relaxed atomics and a snapshot may
+  /// fall between another frame's launch and its block count.
+  GpuStats stats() const {
+    GpuStats S;
+    S.KernelLaunches = KernelLaunches.load(std::memory_order_relaxed);
+    S.BlocksExecuted = BlocksExecuted.load(std::memory_order_relaxed);
+    return S;
+  }
+  void resetStats() {
+    KernelLaunches.store(0, std::memory_order_relaxed);
+    BlocksExecuted.store(0, std::memory_order_relaxed);
+  }
 
 private:
   int SMs = 8;
-  GpuStats Stats;
+  std::atomic<int64_t> KernelLaunches{0};
+  std::atomic<int64_t> BlocksExecuted{0};
 };
 
 /// The process-wide simulated device.

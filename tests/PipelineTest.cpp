@@ -72,6 +72,30 @@ TEST(PipelineTest, RealizeNoInput) {
     }
 }
 
+TEST(PipelineTest, ClearingTheCacheFirstThenExitingIsClean) {
+  // clearCompileCache() as the process's first library call builds the
+  // compile cache before the Function registry, so the registry is
+  // destroyed first at exit while the cache's lowered pipelines, the last
+  // owners of their Functions, still deregister them from it. The
+  // threadsafe style runs the child as a fresh process, so the call
+  // really is its first.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Pipeline::clearCompileCache();
+        bool Ok;
+        {
+          GradientPipe P;
+          P.F.computeRoot();
+          Buffer<int32_t> Out(8, 6);
+          Pipeline(P.G).realize(Out, ParamBindings(), Target::vm());
+          Ok = Out(1, 1) == 11 + 2 * 12;
+        }
+        std::exit(Ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(PipelineTest, OutputWindowWithMins) {
   GradientPipe P;
   Pipeline Pipe(P.G);

@@ -209,6 +209,21 @@ TEST(GpuSimTest, LaunchStats) {
   EXPECT_EQ(gpuSim().stats().BlocksExecuted, 12);
 }
 
+TEST(GpuSimTest, ConcurrentLaunchesAreAllCounted) {
+  gpuSim().resetStats();
+  const int Threads = 4, Launches = 50;
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([] {
+      for (int L = 0; L < Launches; ++L)
+        gpuSim().launch(3, [](int32_t, void *) {}, nullptr);
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  EXPECT_EQ(gpuSim().stats().KernelLaunches, Threads * Launches);
+  EXPECT_EQ(gpuSim().stats().BlocksExecuted, 3 * Threads * Launches);
+}
+
 TEST(BufferTest, LayoutAndAccess) {
   Buffer<uint16_t> B(5, 3);
   EXPECT_EQ(B.width(), 5);

@@ -19,10 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <dirent.h>
+#include <dlfcn.h>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace halide;
@@ -73,18 +74,34 @@ Buffer<float> makeInput(int W, int H) {
 // contract lives in runtime/Tracing.h, shared with the differential
 // harness and the parity tests).
 
-int countJitTempDirs() {
-  int Count = 0;
-  if (DIR *D = opendir("/tmp")) {
-    while (const dirent *E = readdir(D))
-      if (std::string(E->d_name).rfind("hl_jit_", 0) == 0)
-        ++Count;
-    closedir(D);
-  }
-  return Count;
+/// Every directory mkdtemp has made in this process. Counting
+/// /tmp/hl_jit_* instead would also count the scratch directories of
+/// test processes running beside this one.
+std::mutex &madeDirsMutex() {
+  static std::mutex M;
+  return M;
+}
+
+std::vector<std::string> &madeDirs() {
+  static std::vector<std::string> Dirs;
+  return Dirs;
 }
 
 } // namespace
+
+/// The JIT makes its scratch directory with mkdtemp; this definition takes
+/// precedence over the C library's, records the directory and forwards.
+extern "C" char *mkdtemp(char *Template) noexcept {
+  using MkdtempFn = char *(*)(char *);
+  static MkdtempFn Real =
+      reinterpret_cast<MkdtempFn>(dlsym(RTLD_NEXT, "mkdtemp"));
+  char *Dir = Real(Template);
+  if (Dir) {
+    std::lock_guard<std::mutex> Lock(madeDirsMutex());
+    madeDirs().push_back(Dir);
+  }
+  return Dir;
+}
 
 TEST(ServingTest, ConcurrentFramesOfOnePipelineMatchSequential) {
   const int W = 64, H = 48, Frames = 6;
@@ -223,7 +240,11 @@ TEST(ServingTest, ResizeDrainsQueuedAsyncJobs) {
 }
 
 TEST(ServingTest, JitLeavesNoTempDirsBehind) {
-  const int Before = countJitTempDirs();
+  size_t Before;
+  {
+    std::lock_guard<std::mutex> Lock(madeDirsMutex());
+    Before = madeDirs().size();
+  }
   ServePipe P("srv_jit");
   Buffer<float> Input = makeInput(32, 24);
   ParamBindings Params;
@@ -231,7 +252,14 @@ TEST(ServingTest, JitLeavesNoTempDirsBehind) {
   Buffer<float> Out(32, 24);
   Pipeline(P.Out).realize(Out, Params,
                           Target::jit().withJitFlags("-O0"));
-  EXPECT_EQ(countJitTempDirs(), Before);
+  std::vector<std::string> Made;
+  {
+    std::lock_guard<std::mutex> Lock(madeDirsMutex());
+    Made.assign(madeDirs().begin() + long(Before), madeDirs().end());
+  }
+  ASSERT_EQ(Made.size(), 1u) << "one JIT compile makes one directory";
+  for (const std::string &Dir : Made)
+    EXPECT_NE(access(Dir.c_str(), F_OK), 0) << Dir << " was left behind";
 }
 
 TEST(CompileStampedeTest, StampedeCompilesOnceAndHitsNMinusOne) {
